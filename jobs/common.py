@@ -1,4 +1,4 @@
-"""Shared SparkSession setup + CLI plumbing for the job entrypoints.
+"""Shared SparkSession setup for the job entrypoints.
 
 Jobs mirror the test fixture's configuration (local[*], Arrow on,
 broadcast joins off) so ``spark-submit jobs/<name>.py`` reproduces the
@@ -6,12 +6,7 @@ same numbers the pytest benchmarks produce.
 """
 from __future__ import annotations
 
-import argparse
-import pathlib
-
 from pyspark.sql import SparkSession
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 def get_spark(app: str) -> SparkSession:
@@ -24,28 +19,3 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.ui.enabled", "false")
         .getOrCreate()
     )
-
-
-def table_arg_parser(desc: str) -> argparse.ArgumentParser:
-    """Common CLI: --preset bench|small, --serial to skip Spark fan-out."""
-    p = argparse.ArgumentParser(description=desc)
-    p.add_argument(
-        "--preset",
-        choices=["bench", "small"],
-        default="bench",
-        help="parameter grid size (bench = paper-scale grids)",
-    )
-    p.add_argument(
-        "--serial",
-        action="store_true",
-        help="run cells serially in-process instead of via Spark",
-    )
-    return p
-
-
-def emit(name: str, df, markdown: str) -> None:
-    """Write one table's results and print the markdown to stdout."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    df.to_json(RESULTS_DIR / f"{name}.json", orient="records", indent=1)
-    (RESULTS_DIR / f"{name}.md").write_text(markdown + "\n")
-    print(markdown)

@@ -31,7 +31,7 @@ class MinTopK(StreamTopK):
 
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self.store = SortedStore(with_aux=True)  # aux = slide id
+        self.store = SortedStore()
         self._cur_slide = -1
         self._cur_scores: list[float] = []  # all scores seen this slide
         # one lbp pointer per predicted window (memory model)
@@ -63,7 +63,7 @@ class MinTopK(StreamTopK):
         self.metrics.examined += below
         evicted = st.dominate_prefix(below, self.q.k)
         self.metrics.deletions += evicted
-        st.insert(score, t, dom=dom0, aux=g)
+        st.insert(score, t, dom=dom0)
         self.metrics.insertions += 1
 
     def _expire(self, t: int, score: float) -> None:

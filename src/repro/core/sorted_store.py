@@ -19,11 +19,10 @@ import numpy as np
 class SortedStore:
     """Candidate set sorted ascending by (score, t) with dom counters."""
 
-    def __init__(self, with_aux: bool = False) -> None:
+    def __init__(self) -> None:
         self.scores = np.empty(0, dtype=np.float64)
         self.ts = np.empty(0, dtype=np.int64)
         self.dom = np.empty(0, dtype=np.int64)
-        self.aux = np.empty(0, dtype=np.int64) if with_aux else None
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -43,7 +42,7 @@ class SortedStore:
         hi = int(np.searchsorted(self.scores, score, side="right"))
         return any(self.ts[i] == t for i in range(lo, hi))
 
-    def insert(self, score: float, t: int, dom: int = 0, aux: int = 0) -> int:
+    def insert(self, score: float, t: int, dom: int = 0) -> int:
         """Insert an entry, returning its position."""
         lo = int(np.searchsorted(self.scores, score, side="left"))
         hi = int(np.searchsorted(self.scores, score, side="right"))
@@ -53,8 +52,6 @@ class SortedStore:
         self.scores = np.insert(self.scores, pos, score)
         self.ts = np.insert(self.ts, pos, t)
         self.dom = np.insert(self.dom, pos, dom)
-        if self.aux is not None:
-            self.aux = np.insert(self.aux, pos, aux)
         return pos
 
     def remove_at(self, idx: int | np.ndarray) -> None:
@@ -62,8 +59,6 @@ class SortedStore:
         self.scores = np.delete(self.scores, idx)
         self.ts = np.delete(self.ts, idx)
         self.dom = np.delete(self.dom, idx)
-        if self.aux is not None:
-            self.aux = np.delete(self.aux, idx)
 
     def remove_entry(self, score: float, t: int) -> None:
         """Delete the entry (score, t)."""

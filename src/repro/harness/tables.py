@@ -7,6 +7,11 @@ metric columns of the same runs):
 * ``regular`` — Tables 3 (time), 6 (candidates), 8 (memory),
 * ``high``    — Tables 5 (time), 7 (candidates), 9 (memory).
 
+:data:`TABLE_DEFS` is the only record of which sweep feeds which table;
+each regime runs exactly the algorithms its tables pivot.
+:func:`sweep_cells` builds one sweep's cells for the job, the
+benchmarks and the tests alike.
+
 ``run_all_tables`` executes the sweeps (distributed via
 :func:`repro.spark.sweep.run_sweep` when given a SparkSession, serially
 otherwise), pivots the metric of interest back into the paper's
@@ -16,6 +21,7 @@ plus shape-check summaries for EXPERIMENTS.md.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from typing import NamedTuple
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -34,19 +40,62 @@ from .grids import (
     spec_for,
 )
 
-#: table name -> (sweep regime, algo-label map, metric column, unit)
+#: The three sweeps, in the order they run and render.
+SWEEPS = ("table2", "regular", "high")
+
+
+class TableDef(NamedTuple):
+    """One sweep-backed paper table: a metric column of a regime's sweep."""
+
+    title: str
+    regime: str
+    algos: dict[str, str]  # paper row label -> algorithm id
+    metric: str
+    unit: str
+
+
 TABLE_DEFS = {
-    "table3": ("regular", TABLE3_ALGOS, "wall_time_s", "seconds"),
-    "table5": ("high", HS_ALGOS, "wall_time_s", "seconds"),
-    "table6": ("regular", CAND_ALGOS, "avg_candidates", "candidates"),
-    "table7": ("high", HS_ALGOS, "avg_candidates", "candidates"),
-    "table8": ("regular", CAND_ALGOS, "memory_kb", "KB"),
-    "table9": ("high", HS_ALGOS, "memory_kb", "KB"),
+    "table3": TableDef(
+        "Table 3 — EQUAL vs DYNA vs EN-DYNA running time",
+        "regular", TABLE3_ALGOS, "wall_time_s", "seconds",
+    ),
+    "table5": TableDef(
+        "Table 5 — SAP vs minTopK running time, high-speed",
+        "high", HS_ALGOS, "wall_time_s", "seconds",
+    ),
+    "table6": TableDef(
+        "Table 6 — average candidate count",
+        "regular", CAND_ALGOS, "avg_candidates", "candidates",
+    ),
+    "table7": TableDef(
+        "Table 7 — average candidate count, high-speed",
+        "high", HS_ALGOS, "avg_candidates", "candidates",
+    ),
+    "table8": TableDef(
+        "Table 8 — candidate-structure memory",
+        "regular", CAND_ALGOS, "memory_kb", "KB",
+    ),
+    "table9": TableDef(
+        "Table 9 — candidate-structure memory, high-speed",
+        "high", HS_ALGOS, "memory_kb", "KB",
+    ),
 }
 
 
-def cells_table2(preset: str = "bench") -> list[dict]:
-    """Cells for Table 2: equal partition, m sweep × ablation variants."""
+def regime_algos(regime: str) -> list[str]:
+    """Every algorithm some table of ``regime`` pivots, each once."""
+    return list(
+        dict.fromkeys(
+            algo
+            for d in TABLE_DEFS.values()
+            if d.regime == regime
+            for algo in d.algos.values()
+        )
+    )
+
+
+def _table2_cells(preset: str) -> list[dict]:
+    """Equal partition, m sweep × ablation variants."""
     spec = spec_for(preset, "regular")
     m_values: Iterable[int] = (
         TABLE2_M_VALUES if preset == "bench" else (3, 5, 9)
@@ -77,15 +126,14 @@ def cells_table2(preset: str = "bench") -> list[dict]:
     return cells
 
 
-def cells_sweep(
-    regime: str, algo_labels: dict[str, str], preset: str = "bench"
-) -> list[dict]:
-    """Cells for one speed regime's n/k/s sweeps × a set of algorithms."""
+def _regime_cells(regime: str, preset: str) -> list[dict]:
+    """One speed regime's n/k/s sweeps × the algorithms its tables pivot."""
     spec: SweepSpec = spec_for(preset, regime)
+    algos = regime_algos(regime)
     cells = []
     cid = 0
     for ds in ALL_DATASETS:
-        for label, algo in algo_labels.items():
+        for algo in algos:
             for axis, axis_label, n, k, s in spec.axis_cells():
                 cells.append(
                     make_cell(
@@ -108,6 +156,13 @@ def cells_sweep(
     return cells
 
 
+def sweep_cells(sweep: str, preset: str = "bench") -> list[dict]:
+    """Cells of one of :data:`SWEEPS` under a grid preset."""
+    if sweep == "table2":
+        return _table2_cells(preset)
+    return _regime_cells(sweep, preset)
+
+
 def run_cells(
     cells: list[dict], spark: SparkSession | None = None
 ) -> pd.DataFrame:
@@ -121,19 +176,7 @@ def run_all_tables(
     spark: SparkSession | None = None, preset: str = "bench"
 ) -> dict[str, pd.DataFrame]:
     """Run the three sweeps; returns raw metric frames keyed by sweep."""
-    regular_algos = {**TABLE3_ALGOS, **CAND_ALGOS}  # union, deduped by algo
-    # dedupe algo ids (sap-enhanced appears under two labels)
-    seen: dict[str, str] = {}
-    for label, algo in regular_algos.items():
-        seen.setdefault(algo, label)
-    regular_unique = {lab: alg for alg, lab in seen.items()}
-    return {
-        "table2": run_cells(cells_table2(preset), spark),
-        "regular": run_cells(
-            cells_sweep("regular", regular_unique, preset), spark
-        ),
-        "high": run_cells(cells_sweep("high", HS_ALGOS, preset), spark),
-    }
+    return {name: run_cells(sweep_cells(name, preset), spark) for name in SWEEPS}
 
 
 # ------------------------------------------------------------------ pivots
@@ -225,11 +268,12 @@ def markdown_table2(ours: dict) -> str:
     return "\n".join(lines)
 
 
-def markdown_sweep_table(name: str, ours: dict, title: str, unit: str) -> str:
+def markdown_sweep_table(name: str, ours: dict) -> str:
     """Paper-vs-ours markdown for one of Tables 3/5/6/7/8/9."""
     axes = paper.PAPER_AXES[name]
     ptab = paper.PAPER_TABLES[name]
-    lines = [f"#### {title} ({unit})", ""]
+    d = TABLE_DEFS[name]
+    lines = [f"#### {d.title} ({d.unit})", ""]
     for axis in ("n", "k", "s"):
         pcols = axes[axis]
         lines.append(f"**{axis} sweep** — paper columns: {', '.join(pcols)}")
@@ -243,15 +287,8 @@ def markdown_sweep_table(name: str, ours: dict, title: str, unit: str) -> str:
                     continue
                 labels, vals = ours[ds][algo_label][axis]
                 if not header_written:
-                    lines.append(
-                        "| dataset | algo | source | "
-                        + " | ".join(labels)
-                        + " (ours) / "
-                        + " , ".join(pcols)
-                        + " (paper) |" .replace("|  |", "| |")
-                    )
                     ncols = max(len(labels), len(pcols))
-                    lines[-1] = (
+                    lines.append(
                         "| dataset | algo | source | "
                         + " | ".join(f"c{i+1}" for i in range(ncols))
                         + " |"
@@ -330,17 +367,18 @@ def shape_checks(results: dict[str, pd.DataFrame]) -> list[str]:
 def build_markdown(results: dict[str, pd.DataFrame]) -> str:
     """Full EXPERIMENTS table section from the three sweep frames."""
     parts = [markdown_table2(pivot_table2(results["table2"]))]
-    titles = {
-        "table3": "Table 3 — EQUAL vs DYNA vs EN-DYNA running time",
-        "table5": "Table 5 — SAP vs minTopK running time, high-speed",
-        "table6": "Table 6 — average candidate count",
-        "table7": "Table 7 — average candidate count, high-speed",
-        "table8": "Table 8 — candidate-structure memory",
-        "table9": "Table 9 — candidate-structure memory, high-speed",
-    }
-    for name, (regime, algos, metric, unit) in TABLE_DEFS.items():
-        ours = pivot_sweep(results[regime], algos, metric)
-        parts.append(markdown_sweep_table(name, ours, titles[name], unit))
+    for name, d in TABLE_DEFS.items():
+        ours = pivot_sweep(results[d.regime], d.algos, d.metric)
+        parts.append(markdown_sweep_table(name, ours))
     parts.append("#### Shape checks\n")
     parts.extend(f"* {c}" for c in shape_checks(results))
     return "\n\n".join(parts)
+
+
+def splice_experiments(doc: str, section: str) -> str:
+    """``doc`` (EXPERIMENTS.md) with its table section replaced.
+
+    The section runs from the first ``#### Table 2`` line to the end of
+    the document; everything above it is hand-written and kept.
+    """
+    return doc[: doc.index("\n#### Table 2") + 1] + section + "\n"

@@ -1,9 +1,10 @@
 """Sequential driver: run one algorithm over one stream, collect metrics.
 
-This is the single code path used by the pure-python tests, the Spark
-micro-batch operator (per group) and the distributed sweep harness
-(per table cell) — so correctness checks and benchmark numbers exercise
-exactly the same implementation.
+This is the code path used by the pure-python tests and the distributed
+sweep harness (per table cell) — so correctness checks and table
+numbers exercise exactly the same implementation. The Spark operators
+drive the same algorithm classes chunk by chunk through
+:class:`~repro.streams.incremental.IncrementalDriver` instead.
 """
 from __future__ import annotations
 

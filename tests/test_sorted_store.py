@@ -64,15 +64,6 @@ def test_dominate_prefix_noop():
     assert len(st) == 1
 
 
-def test_aux_field_tracks_entries():
-    st = SortedStore(with_aux=True)
-    st.insert(2.0, 1, aux=10)
-    st.insert(1.0, 2, aux=20)
-    assert list(st.aux) == [20, 10]
-    st.remove_entry(1.0, 2)
-    assert list(st.aux) == [10]
-
-
 def test_min_and_kth_scores():
     st = SortedStore()
     assert st.min_score() == float("-inf")

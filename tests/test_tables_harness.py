@@ -1,4 +1,6 @@
 """Table harness tests: grids, cell builders, pivots, markdown, paper data."""
+import pathlib
+
 import pandas as pd
 import pytest
 
@@ -11,16 +13,19 @@ from repro.harness.grids import (
     spec_for,
 )
 from repro.harness.tables import (
+    SWEEPS,
     TABLE_DEFS,
     build_markdown,
-    cells_sweep,
-    cells_table2,
     markdown_sweep_table,
     pivot_sweep,
     pivot_table2,
-    run_cells,
+    regime_algos,
     run_all_tables,
+    splice_experiments,
+    sweep_cells,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_specs_valid():
@@ -36,7 +41,7 @@ def test_specs_valid():
 
 
 def test_cells_table2_structure():
-    cells = cells_table2("bench")
+    cells = sweep_cells("table2", "bench")
     assert len(cells) == len(ALL_DATASETS) * len(TABLE2_VARIANTS) * len(
         TABLE2_M_VALUES
     )
@@ -44,12 +49,16 @@ def test_cells_table2_structure():
 
 
 def test_cells_sweep_structure():
-    cells = cells_sweep("high", HS_ALGOS, "bench")
-    spec = spec_for("bench", "high")
-    assert len(cells) == len(ALL_DATASETS) * len(HS_ALGOS) * len(
-        spec.axis_cells()
-    )
-    assert len({c["cell_id"] for c in cells}) == len(cells)
+    assert regime_algos("high") == list(HS_ALGOS.values())
+    for regime in ("regular", "high"):
+        cells = sweep_cells(regime, "bench")
+        spec = spec_for("bench", regime)
+        assert len(cells) == len(ALL_DATASETS) * len(
+            regime_algos(regime)
+        ) * len(spec.axis_cells())
+        assert len({c["cell_id"] for c in cells}) == len(cells)
+    # the cell count EXPERIMENTS.md quotes: each sweep runs once
+    assert sum(len(sweep_cells(name, "bench")) for name in SWEEPS) == 670
 
 
 def test_paper_tables_shape():
@@ -73,9 +82,10 @@ def test_table2_paper_shape():
 def test_table_defs_reference_known_metrics():
     from repro.core.metrics import METRIC_COLUMNS
 
-    for name, (regime, algos, metric, unit) in TABLE_DEFS.items():
-        assert regime in ("regular", "high")
-        assert metric in METRIC_COLUMNS
+    for name, d in TABLE_DEFS.items():
+        assert name in paper.PAPER_TABLES
+        assert d.regime in ("regular", "high")
+        assert d.metric in METRIC_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +98,12 @@ def test_run_all_tables_small(tiny_results):
     for df in tiny_results.values():
         assert isinstance(df, pd.DataFrame) and len(df) > 0
         assert (df["wall_time_s"] > 0).all()
+    for regime in ("regular", "high"):
+        key = tiny_results[regime][["dataset", "algo", "axis", "label"]]
+        assert not key.duplicated().any(), regime
+    for name, d in TABLE_DEFS.items():
+        ran = set(tiny_results[d.regime]["algo"])
+        assert set(d.algos.values()) <= ran, name
 
 
 def test_pivot_table2(tiny_results):
@@ -99,9 +115,9 @@ def test_pivot_table2(tiny_results):
 
 
 def test_pivot_sweep_and_markdown(tiny_results):
-    for name, (regime, algos, metric, unit) in TABLE_DEFS.items():
-        piv = pivot_sweep(tiny_results[regime], algos, metric)
-        md = markdown_sweep_table(name, piv, f"{name} test", unit)
+    for name, d in TABLE_DEFS.items():
+        piv = pivot_sweep(tiny_results[d.regime], d.algos, d.metric)
+        md = markdown_sweep_table(name, piv)
         assert "paper" in md and "ours" in md
 
 
@@ -110,6 +126,21 @@ def test_build_markdown_complete(tiny_results):
     for t in ("Table 2", "Table 3", "Table 5", "Table 6", "Table 7",
               "Table 8", "Table 9", "Shape checks"):
         assert t in md
+
+
+def test_build_markdown_matches_experiments():
+    # golden: the committed sweep frames render EXPERIMENTS.md's table
+    # section byte for byte
+    frames = {
+        name: pd.read_json(
+            ROOT / "results" / f"sweep_{name}.json",
+            orient="records",
+            dtype={"label": str, "opts": str, "axis": str},
+        )
+        for name in SWEEPS
+    }
+    doc = (ROOT / "EXPERIMENTS.md").read_text()
+    assert splice_experiments(doc, build_markdown(frames)) == doc
 
 
 def test_run_cells_serial_matches_structure(tiny_results):
