@@ -11,37 +11,19 @@ updates, exactly the weakness the paper demonstrates.
 """
 from __future__ import annotations
 
-from repro.core.base import StreamTopK
 from repro.core.query import TopKQuery
-from repro.core.sorted_store import SortedStore
+from repro.core.sorted_store import StoreTopK
 
 
-class KSkyband(StreamTopK):
+class KSkyband(StoreTopK):
     """One-pass k-skyband candidate maintenance."""
 
     name = "kskyband"
 
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self.store = SortedStore()
         # k-skyband entries each carry a dominance counter (memory model)
         self.metrics.counter_entries_flag = True
 
     def _ingest(self, t: int, score: float) -> None:
-        below = self.store.count_below(score)
-        self.metrics.examined += below
-        evicted = self.store.dominate_prefix(below, self.q.k)
-        self.metrics.deletions += evicted
-        self.store.insert(score, t)
-        self.metrics.insertions += 1
-
-    def _expire(self, t: int, score: float) -> None:
-        if self.store.contains(score, t):
-            self.store.remove_entry(score, t)
-            self.metrics.deletions += 1
-
-    def topk(self) -> list[int]:
-        return self.store.topk(self.q.k)
-
-    def candidate_count(self) -> int:
-        return len(self.store)
+        self._admit(score, t)

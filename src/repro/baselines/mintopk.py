@@ -19,19 +19,17 @@ from __future__ import annotations
 
 import bisect
 
-from repro.core.base import StreamTopK
 from repro.core.query import TopKQuery
-from repro.core.sorted_store import SortedStore
+from repro.core.sorted_store import StoreTopK
 
 
-class MinTopK(StreamTopK):
+class MinTopK(StoreTopK):
     """Slide-granularity skyband ≡ union of predicted result sets."""
 
     name = "mintopk"
 
     def __init__(self, q: TopKQuery) -> None:
         super().__init__(q)
-        self.store = SortedStore()
         self._cur_slide = -1
         self._cur_scores: list[float] = []  # all scores seen this slide
         # one lbp pointer per predicted window (memory model)
@@ -41,7 +39,6 @@ class MinTopK(StreamTopK):
         return t // self.q.s
 
     def _ingest(self, t: int, score: float) -> None:
-        st = self.store
         g = self._slide_of(t)
         if g != self._cur_slide:
             self._cur_slide = g
@@ -59,20 +56,4 @@ class MinTopK(StreamTopK):
         self.metrics.examined += 1
         if dom0 >= self.q.k:
             return  # cannot contribute to any predicted result set
-        below = st.count_below(score)
-        self.metrics.examined += below
-        evicted = st.dominate_prefix(below, self.q.k)
-        self.metrics.deletions += evicted
-        st.insert(score, t, dom=dom0)
-        self.metrics.insertions += 1
-
-    def _expire(self, t: int, score: float) -> None:
-        if self.store.contains(score, t):
-            self.store.remove_entry(score, t)
-            self.metrics.deletions += 1
-
-    def topk(self) -> list[int]:
-        return self.store.topk(self.q.k)
-
-    def candidate_count(self) -> int:
-        return len(self.store)
+        self._admit(score, t, dom=dom0)

@@ -21,12 +21,11 @@ import bisect
 
 import numpy as np
 
-from repro.core.base import StreamTopK
 from repro.core.query import TopKQuery
-from repro.core.sorted_store import SortedStore
+from repro.core.sorted_store import SortedStore, StoreTopK
 
 
-class SMA(StreamTopK):
+class SMA(StoreTopK):
     """Multi-pass capped-skyband with threshold re-scanning."""
 
     name = "sma"
@@ -34,7 +33,6 @@ class SMA(StreamTopK):
     def __init__(self, q: TopKQuery, kmax: int | None = None) -> None:
         super().__init__(q)
         self.kmax = kmax if kmax is not None else 2 * q.k
-        self.store = SortedStore()
         self.theta = float("-inf")
         self.metrics.counter_entries_flag = True
 
@@ -42,18 +40,11 @@ class SMA(StreamTopK):
         self.metrics.examined += 1
         if score < self.theta:
             return  # below threshold: discarded, grid would not index it
-        st = self.store
-        below = st.count_below(score)
-        self.metrics.examined += below
-        evicted = st.dominate_prefix(below, self.q.k)
-        self.metrics.deletions += evicted
-        st.insert(score, t)
-        self.metrics.insertions += 1
+        self._admit(score, t)
 
     def _expire(self, t: int, score: float) -> None:
-        if score >= self.theta and self.store.contains(score, t):
-            self.store.remove_entry(score, t)
-            self.metrics.deletions += 1
+        if score >= self.theta:
+            super()._expire(t, score)
 
     def _after_slide(self) -> None:
         # Correctness invariant: whenever |C| ≥ k at emission time, every
@@ -96,9 +87,3 @@ class SMA(StreamTopK):
         # grid emulation: cells above θ ≈ kept objects + k cell slop
         self.metrics.rescan_examined += examined + self.q.k
         self.metrics.insertions += len(st)
-
-    def topk(self) -> list[int]:
-        return self.store.topk(self.q.k)
-
-    def candidate_count(self) -> int:
-        return len(self.store)

@@ -15,7 +15,7 @@ k-skyband keeps a dominance counter per candidate (8 B).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _ENTRY_BYTES = 32.0
 _POINTER_BYTES = 8.0
@@ -35,24 +35,28 @@ class Metrics:
     partitions_sealed: int = 0  # partitions created (SAP)
     wall_time_s: float = 0.0  # measured by the runner
 
-    # one sample per emitted window: size of the candidate structures
-    candidate_samples: list[int] = field(default_factory=list)
+    # candidate-structure size, sampled once per emitted window
+    candidate_windows: int = 0
+    candidate_sum: int = 0
+    peak_candidates: int = 0
 
     # constant per-run overhead entries (e.g. MinTopK's n/s lbp slots)
     overhead_pointers: int = 0
     counter_entries_flag: bool = False  # candidates carry dom counters
 
+    def sample_candidates(self, n: int) -> None:
+        """Record the candidate-structure size of one emitted window."""
+        self.candidate_windows += 1
+        self.candidate_sum += n
+        if n > self.peak_candidates:
+            self.peak_candidates = n
+
     @property
     def avg_candidates(self) -> float:
         """Average candidate-structure size over all emitted windows."""
-        if not self.candidate_samples:
+        if not self.candidate_windows:
             return 0.0
-        return sum(self.candidate_samples) / len(self.candidate_samples)
-
-    @property
-    def peak_candidates(self) -> int:
-        """Largest candidate-structure size observed."""
-        return max(self.candidate_samples, default=0)
+        return self.candidate_sum / self.candidate_windows
 
     @property
     def memory_kb(self) -> float:

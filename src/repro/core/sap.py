@@ -36,8 +36,9 @@ S-AVL are an optimisation, never a correctness dependency.
 from __future__ import annotations
 
 import bisect
-import heapq
 from collections import deque
+from collections.abc import Container
+from itertools import islice
 
 import numpy as np
 
@@ -48,6 +49,17 @@ from .query import TopKQuery
 from .savl import SAVL, MeaningfulSet, SortedMeaningful
 from .tbui import TBUITracker, UnitLabel
 from .wrt import eta, partition_improper
+
+
+def _push_topk(
+    topk: list[tuple[float, int]], entry: tuple[float, int], k: int
+) -> None:
+    """Keep ``topk`` (ascending) the k best entries pushed so far."""
+    if len(topk) < k:
+        bisect.insort(topk, entry)
+    elif entry > topk[0]:
+        bisect.insort(topk, entry)
+        del topk[0]
 
 
 class SAPPartition:
@@ -66,14 +78,6 @@ class SAPPartition:
         self.rho: int | None = None
         self.prepared = False  # front-readiness (ρ computed, M formed)
         self.deep_idx = 0  # next label to consider for UBSA deep scan
-
-    def add(self, score: float, t: int, k: int) -> None:
-        """Maintain the partition's top-k as objects arrive."""
-        if len(self.topk) < k:
-            bisect.insort(self.topk, (score, t))
-        elif (score, t) > self.topk[0]:
-            bisect.insort(self.topk, (score, t))
-            del self.topk[0]
 
     def topk_desc(self) -> list[tuple[float, int]]:
         """Top-k entries, best first."""
@@ -133,7 +137,8 @@ class SAP(StreamTopK):
     # ----------------------------------------------------------- arrivals
     def _ingest(self, t: int, score: float) -> None:
         self._cursor = t
-        self.rear.add(score, t, self.q.k)
+        k = self.q.k
+        _push_topk(self.rear.topk, (score, t), k)
         if self.tbui is not None:
             self.tbui.ingest(t, score)
         size = t - self.rear.start + 1
@@ -142,11 +147,7 @@ class SAP(StreamTopK):
                 self._seal(t + 1)
             return
         # dynamic modes: maintain the current unit's top-k
-        if len(self._cur_unit_topk) < self.q.k:
-            bisect.insort(self._cur_unit_topk, (score, t))
-        elif (score, t) > self._cur_unit_topk[0]:
-            bisect.insort(self._cur_unit_topk, (score, t))
-            del self._cur_unit_topk[0]
+        _push_topk(self._cur_unit_topk, (score, t), k)
         if size == self.q.n:
             # hard cap: a partition can never outgrow the window — its
             # oldest object is about to expire, so it must be sealed now
@@ -300,17 +301,37 @@ class SAP(StreamTopK):
         if self.mode == "enhanced" and part.labels:
             self._ubsa(ms, part, lo, cap, f_theta)
             return ms
-        savl = SAVL(cap)
-        for t in range(part.end - 1, lo - 1, -1):
-            if t in self.C:
+        ms.add(self._scan(SAVL(cap), lo, part.end, f_theta))
+        return ms
+
+    def _scan(
+        self,
+        savl: SAVL,
+        lo: int,
+        hi: int,
+        f_theta: float,
+        skip: Container[int] = (),
+    ) -> SAVL:
+        """Offer ``[lo, hi)`` newest first to ``savl`` (S-AVL build, §5.1).
+
+        Candidates already in ``C`` and ``skip`` are passed over; every
+        other object counts as examined and is offered unless it scores
+        below the global bound Fθ.
+        """
+        assert self.scores is not None
+        C = self.C
+        vals = self.scores[lo:hi].tolist()
+        examined = 0
+        for t in range(hi - 1, lo - 1, -1):
+            if t in C or t in skip:
                 continue
-            self.metrics.examined += 1
-            sc = float(self.scores[t])
+            examined += 1
+            sc = vals[t - lo]
             if sc < f_theta:
                 continue
             savl.offer(sc, t)
-        ms.add(savl)
-        return ms
+        self.metrics.examined += examined
+        return savl
 
     def _exact_skyband(
         self, lo: int, hi: int, cap: int, f_theta: float
@@ -347,7 +368,7 @@ class SAP(StreamTopK):
         is within one unit, and skipped entirely when the summary's
         minimum is below Fθ.
         """
-        assert part.labels is not None and self.scores is not None
+        assert part.labels is not None
         main = SAVL(cap)
         spans = sorted((lab.start, lab.end) for lab in part.labels)
         for lab in sorted(part.labels, key=lambda x: -x.start):  # newest 1st
@@ -355,14 +376,7 @@ class SAP(StreamTopK):
                 if lab.top1()[0] < f_theta:
                     self.metrics.units_skipped += 1
                     continue
-                for t in range(lab.end - 1, max(lab.start, lo) - 1, -1):
-                    if t in self.C:
-                        continue
-                    self.metrics.examined += 1
-                    sc = float(self.scores[t])
-                    if sc < f_theta:
-                        continue
-                    main.offer(sc, t)
+                self._scan(main, max(lab.start, lo), lab.end, f_theta)
             else:
                 entries = [
                     (sc, t)
@@ -383,14 +397,7 @@ class SAP(StreamTopK):
         if pos < part.end:
             uncovered.append((pos, part.end))
         for a, b in reversed(uncovered):
-            extra = SAVL(cap)
-            for t in range(b - 1, max(a, lo) - 1, -1):
-                if t in self.C:
-                    continue
-                self.metrics.examined += 1
-                sc = float(self.scores[t])
-                if sc >= f_theta:
-                    extra.offer(sc, t)
+            extra = self._scan(SAVL(cap), max(a, lo), b, f_theta)
             if extra.size():
                 ms.add(extra)
         ms.add(main)
@@ -415,54 +422,31 @@ class SAP(StreamTopK):
                 # summary already holds every potential skyband object
                 self.metrics.units_skipped += 1
                 continue
-            assert self.scores is not None
             cap = self.q.k - (front.rho or 0)
             if cap <= 0:
                 continue
-            deep = SAVL(cap)
             summary_ts = {t for _, t in lab.summary}
             lo = max(lab.start, drain_t + 1)
-            for t in range(lab.end - 1, lo - 1, -1):
-                if t in self.C or t in summary_ts:
-                    continue
-                self.metrics.examined += 1
-                sc = float(self.scores[t])
-                if sc < f_theta:
-                    continue
-                deep.offer(sc, t)
-            front.m.add(deep)
+            front.m.add(
+                self._scan(SAVL(cap), lo, lab.end, f_theta, summary_ts)
+            )
 
     # ------------------------------------------------------------ results
     def topk(self) -> list[int]:
+        """Top-k of ``C ∪ M_0 ∪ P_rear^k`` (Algorithm 1, line 6)."""
         k = self.q.k
-        # fast path: two-pointer merge of C's tail and the rear's top-k
-        a = self.C.top_desc(k)
-        b = self.rear.topk_desc()
-        merged: list[tuple[float, int]] = []
-        ia = ib = 0
-        while len(merged) < k and (ia < len(a) or ib < len(b)):
-            if ib >= len(b) or (ia < len(a) and a[ia] >= b[ib]):
-                merged.append(a[ia])
-                ia += 1
-            else:
-                merged.append(b[ib])
-                ib += 1
+        best = self.C.top_desc(k) + self.rear.topk_desc()
+        best.sort(reverse=True)
+        del best[k:]
         front = self.sealed[0] if self.sealed else None
         if front is not None and front.m is not None:
+            # M_0 only matters when its head beats the current k-th
             head = front.m.peek_max(self.window_start)
-            if head is not None and (len(merged) < k or head > merged[-1]):
-                # rare: a meaningful object enters the top-k — full merge
-                srcs = [
-                    iter(a),
-                    iter(b),
-                    front.m.iter_desc(self.window_start),
-                ]
-                merged = []
-                for e in heapq.merge(*srcs, reverse=True):
-                    merged.append(e)
-                    if len(merged) == k:
-                        break
-        return [int(t) for _, t in merged]
+            if head is not None and (len(best) < k or head > best[-1]):
+                best += islice(front.m.iter_desc(self.window_start), k)
+                best.sort(reverse=True)
+                del best[k:]
+        return [t for _, t in best]
 
     def candidate_count(self) -> int:
         front = self.sealed[0] if self.sealed else None

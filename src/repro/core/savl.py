@@ -162,25 +162,23 @@ class MeaningfulSet:
         """Attach a sub-structure."""
         self.parts.append(part)
 
-    def pop_max(self, min_t: int) -> tuple[float, int] | None:
-        """Remove and return the best alive entry across sub-structures."""
+    def _head(self, min_t: int) -> tuple[int, tuple[float, int] | None]:
+        """Index and entry of the best alive head (-1, None when empty)."""
         best_i, best = -1, None
         for i, p in enumerate(self.parts):
             head = p.peek_max(min_t)
             if head is not None and (best is None or head > best):
                 best_i, best = i, head
-        if best_i < 0:
-            return None
-        return self.parts[best_i].pop_max(min_t)
+        return best_i, best
+
+    def pop_max(self, min_t: int) -> tuple[float, int] | None:
+        """Remove and return the best alive entry across sub-structures."""
+        i, _ = self._head(min_t)
+        return self.parts[i].pop_max(min_t) if i >= 0 else None
 
     def peek_max(self, min_t: int) -> tuple[float, int] | None:
         """Best alive entry across sub-structures without removal."""
-        best = None
-        for p in self.parts:
-            head = p.peek_max(min_t)
-            if head is not None and (best is None or head > best):
-                best = head
-        return best
+        return self._head(min_t)[1]
 
     def iter_desc(self, min_t: int) -> Iterator[tuple[float, int]]:
         """Alive entries across sub-structures, descending."""

@@ -10,10 +10,16 @@ closest Python gets to the paper's C++ constant factors.
 Entries with equal score are ordered by arrival index ``t`` ascending,
 so ``topk()`` read from the tail yields the shared tie-break
 (score desc, t desc).
+
+:class:`StoreTopK` is the stream protocol the three baselines share on
+top of the store: admit an arrival, drop an expiring candidate, report.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .base import StreamTopK
+from .query import TopKQuery
 
 
 class SortedStore:
@@ -28,19 +34,17 @@ class SortedStore:
         return len(self.scores)
 
     def _locate(self, score: float, t: int) -> int:
-        """Exact index of entry (score, t); raises if absent."""
+        """Exact index of entry (score, t); -1 when absent."""
         lo = int(np.searchsorted(self.scores, score, side="left"))
         hi = int(np.searchsorted(self.scores, score, side="right"))
         for i in range(lo, hi):
             if self.ts[i] == t:
                 return i
-        raise KeyError(f"(score={score}, t={t}) not in store")
+        return -1
 
     def contains(self, score: float, t: int) -> bool:
         """Membership test by (score, t)."""
-        lo = int(np.searchsorted(self.scores, score, side="left"))
-        hi = int(np.searchsorted(self.scores, score, side="right"))
-        return any(self.ts[i] == t for i in range(lo, hi))
+        return self._locate(score, t) >= 0
 
     def insert(self, score: float, t: int, dom: int = 0) -> int:
         """Insert an entry, returning its position."""
@@ -61,8 +65,11 @@ class SortedStore:
         self.dom = np.delete(self.dom, idx)
 
     def remove_entry(self, score: float, t: int) -> None:
-        """Delete the entry (score, t)."""
-        self.remove_at(self._locate(score, t))
+        """Delete the entry (score, t); raises KeyError if absent."""
+        i = self._locate(score, t)
+        if i < 0:
+            raise KeyError(f"(score={score}, t={t}) not in store")
+        self.remove_at(i)
 
     def count_below(self, score: float) -> int:
         """Number of entries with score strictly below ``score``."""
@@ -98,3 +105,31 @@ class SortedStore:
         if len(self.scores) < k:
             return float("-inf")
         return float(self.scores[len(self.scores) - k])
+
+
+class StoreTopK(StreamTopK):
+    """A baseline whose whole candidate set is one :class:`SortedStore`."""
+
+    def __init__(self, q: TopKQuery) -> None:
+        super().__init__(q)
+        self.store = SortedStore()
+
+    def _admit(self, score: float, t: int, dom: int = 0) -> None:
+        """Insert an arrival; it dominates every lower-scored candidate."""
+        st = self.store
+        below = st.count_below(score)
+        self.metrics.examined += below
+        self.metrics.deletions += st.dominate_prefix(below, self.q.k)
+        st.insert(score, t, dom=dom)
+        self.metrics.insertions += 1
+
+    def _expire(self, t: int, score: float) -> None:
+        if self.store.contains(score, t):
+            self.store.remove_entry(score, t)
+            self.metrics.deletions += 1
+
+    def topk(self) -> list[int]:
+        return self.store.topk(self.q.k)
+
+    def candidate_count(self) -> int:
+        return len(self.store)

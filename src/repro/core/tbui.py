@@ -72,7 +72,7 @@ class TBUITracker:
 
     def _raise_tau(self) -> None:
         """Median-search: τ ← ζ*-th highest of U^τ, keep entries above."""
-        self.u_tau.sort(key=lambda e: (-e[0], -e[1]))
+        self.u_tau.sort(reverse=True)
         self.metrics.examined += len(self.u_tau)
         self.tau = self.u_tau[self.zs - 1][0]
         del self.u_tau[self.zs :]
@@ -103,7 +103,7 @@ class TBUITracker:
                 prev = self.labels[-1]
                 prev.kind = "non"
                 prev.summary = [max(prev.summary)]
-            summary = sorted(self.u_tau, key=lambda e: (-e[0], -e[1]))[:k]
+            summary = sorted(self.u_tau, reverse=True)[:k]
             self.labels.append(
                 UnitLabel(self.unit_start, end, "k", summary, demotable=True)
             )

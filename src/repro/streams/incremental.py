@@ -57,9 +57,7 @@ class IncrementalDriver:
 
     def _emit(self, j: int) -> list[tuple[int, int, int, float]]:
         ids = self.algo.topk()
-        self.algo.metrics.candidate_samples.append(
-            self.algo.candidate_count()
-        )
+        self.algo.metrics.sample_candidates(self.algo.candidate_count())
         return [
             (j, r + 1, int(t), float(self.buffer[t]))
             for r, t in enumerate(ids)

@@ -89,7 +89,7 @@ def run_stream(
         if j > 0:
             algo.slide(j)
         ids = algo.topk()
-        algo.metrics.candidate_samples.append(algo.candidate_count())
+        algo.metrics.sample_candidates(algo.candidate_count())
         if collect_results:
             results.append(np.asarray(ids, dtype=np.int64))
     algo.metrics.wall_time_s = time.perf_counter() - t0

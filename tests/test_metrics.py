@@ -11,7 +11,8 @@ from repro.streams.runner import run_stream
 
 def test_memory_model():
     m = Metrics()
-    m.candidate_samples = [100, 100]
+    m.sample_candidates(100)
+    m.sample_candidates(100)
     assert m.memory_kb == pytest.approx(100 * 32 / 1024)
     m.counter_entries_flag = True
     assert m.memory_kb == pytest.approx(100 * 40 / 1024)

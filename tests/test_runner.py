@@ -31,7 +31,7 @@ def test_collect_results_flag():
     assert len(with_res.results) == q.num_windows(120)
     assert without.results == []
     # metrics are collected either way
-    assert len(without.metrics.candidate_samples) == q.num_windows(120)
+    assert without.metrics.candidate_windows == q.num_windows(120)
 
 
 def test_results_rows_flatten():
